@@ -23,11 +23,15 @@
 //! end-to-end win of this PR additionally includes the fixed-slot
 //! counter and drain-window work visible against the *previous*
 //! `baseline.json` capture of `channel_sweep/e2e/*` and `mlp_sweep/*`.
+//!
+//! `setup/pre_age/*` time the machine set-up layer on its own: one
+//! `pre_age` of a freshly built machine (see [`setup`]).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use padlock_bench::seed_core::SeedMachine;
-use padlock_bench::{e2e_machine_config, E2eParams, E2eTrace};
+use padlock_bench::{e2e_machine_config, E2eParams, E2eTrace, MachineKind};
 use padlock_core::{Machine, MachineConfig};
+use padlock_workloads::{benchmark_profile, SpecWorkload};
 
 /// Warm-up ops per simulated point.
 const WARMUP: u64 = 20_000;
@@ -132,5 +136,43 @@ fn simrate(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, simrate);
+/// Machine set-up cost: `pre_age` alone on a machine built outside the
+/// timed region (the machine's drop is inside it). `bfs` feeds the
+/// recorded trace's chase region and ancient heap (1.4M lines) to the
+/// simrate machine's 64-entry SNC; `mcf` feeds the figure suite's mcf
+/// heap to the paper's 64KB fully associative LRU SNC (32K entries),
+/// the Fig. 5 `lru64` machine.
+fn setup(c: &mut Criterion) {
+    let mut g = c.benchmark_group("setup");
+    g.sample_size(10);
+    let bfs = E2eTrace::record("bfs", WARMUP, MEASURE);
+    g.bench_with_input(BenchmarkId::new("pre_age", "bfs"), &bfs, |b, t| {
+        b.iter_batched(
+            || Machine::new(simrate_config()),
+            |mut m| {
+                m.core_mut().hierarchy_mut().backend_mut().pre_age(
+                    t.ancient_lines().iter().copied(),
+                    t.active_lines().iter().copied(),
+                );
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    let mcf = SpecWorkload::new(benchmark_profile("mcf"));
+    g.bench_with_input(BenchmarkId::new("pre_age", "mcf"), &mcf, |b, w| {
+        b.iter_batched(
+            || Machine::new(MachineKind::LruFull(64).config()),
+            |mut m| {
+                m.core_mut()
+                    .hierarchy_mut()
+                    .backend_mut()
+                    .pre_age(w.ancient_line_addrs(), w.active_line_addrs());
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    g.finish();
+}
+
+criterion_group!(benches, simrate, setup);
 criterion_main!(benches);

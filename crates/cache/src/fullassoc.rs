@@ -288,6 +288,43 @@ impl<T> FullAssocCache<T> {
         evicted
     }
 
+    /// Fills an empty cache with `entries`, least recently used first:
+    /// the state `insert`ing each in turn would leave, built in one
+    /// pass (the index is bulk-built from the keys) instead of one tree
+    /// insertion per entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache is not empty, or if the keys are not
+    /// distinct or outnumber the capacity.
+    pub fn fill(&mut self, entries: impl IntoIterator<Item = (u64, T)>, dirty: bool) {
+        assert!(self.is_empty(), "fill needs an empty cache");
+        self.nodes.clear();
+        self.free.clear();
+        for (key, payload) in entries {
+            self.nodes.push(Some(Node {
+                key,
+                payload,
+                dirty,
+                prev: NIL,
+                next: NIL,
+            }));
+            self.push_front(self.nodes.len() - 1);
+        }
+        self.map = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(idx, n)| (n.as_ref().expect("live node").key, idx))
+            .collect();
+        assert_eq!(
+            self.map.len(),
+            self.nodes.len(),
+            "fill keys must be distinct"
+        );
+        assert!(self.map.len() <= self.capacity, "fill exceeds capacity");
+    }
+
     /// Evicts the least recently used entry, if any.
     pub fn evict_lru(&mut self) -> Option<FullAssocEvicted<T>> {
         if self.tail == NIL {
@@ -565,5 +602,38 @@ mod tests {
             }
             assert_eq!(c.len(), model.len());
         }
+    }
+
+    #[test]
+    fn fill_matches_inserting_in_order() {
+        let entries = [(0x300u64, 3u16), (0x100, 1), (0x500, 5), (0x200, 2)];
+        let mut filled = FullAssocCache::new("snc", 6);
+        // A flushed cache is empty but keeps slab slots on its free list.
+        filled.insert(0x900, 9, false);
+        filled.flush();
+        filled.fill(entries, true);
+        let mut inserted = FullAssocCache::new("snc", 6);
+        for (key, payload) in entries {
+            inserted.insert(key, payload, true);
+        }
+        let order = |c: &FullAssocCache<u16>| c.iter().map(|(k, v)| (k, *v)).collect::<Vec<_>>();
+        assert_eq!(order(&filled), order(&inserted));
+        for key in [0x600, 0x100, 0x700, 0x800, 0x900] {
+            assert_eq!(filled.insert(key, 0, false), inserted.insert(key, 0, false));
+            assert_eq!(order(&filled), order(&inserted));
+        }
+        assert_eq!(filled.flush(), inserted.flush());
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct")]
+    fn fill_rejects_duplicate_keys() {
+        FullAssocCache::new("snc", 4).fill([(1, ()), (2, ()), (1, ())], false);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity")]
+    fn fill_rejects_overflow() {
+        FullAssocCache::new("snc", 2).fill([(1, ()), (2, ()), (3, ())], false);
     }
 }

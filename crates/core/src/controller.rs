@@ -99,12 +99,13 @@
 
 use crate::config::{SecureBackendConfig, SecurityMode, SncPolicy};
 use crate::engine::{CryptoTimeline, MemTxn, SncPorts, SpecWindow, TxnOp};
+use crate::line_set::LineSet;
 use crate::snc::{SncLookup, SncQueryUndo};
 use crate::snc_shards::SncShards;
 use padlock_cpu::{LineKind, MemoryBackend};
 use padlock_mem::{ChannelSet, ChannelSnapshot, DrainOrder, TrafficClass};
 use padlock_stats::CounterSet;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Fixed-slot controller event counters, bumped as plain fields on
 /// the classify hot paths and rendered as a [`CounterSet`] on demand.
@@ -172,7 +173,7 @@ pub struct SecureBackend {
     snc: Option<SncShards>,
     /// Lines that have ever been written back (their in-memory copy is
     /// OTP-dynamic or, under a full no-replacement SNC, direct-encrypted).
-    written: BTreeSet<u64>,
+    written: LineSet,
     /// Evicted sequence numbers awaiting spill; 64 two-byte entries pack
     /// into one line-sized memory transaction.
     pending_spills: u32,
@@ -209,10 +210,11 @@ pub struct SecureBackend {
 /// the speculated line's channel (restored from
 /// [`SecureBackend::spec_snapshot`]), the fixed-slot controller
 /// counters, and — when the path probed the SNC — the shard's recency
-/// and stats. `written` and the queue are never touched at issue on
-/// any eligible path, and the SeqFetch mutations the checkpoint could
-/// not cheaply unwind (SNC occupancy, `pending_spills`, a victim's
-/// spill write) are deferred behind [`SeqInstall`] until the confirm.
+/// and stats. The written-line bitmap and the queue are never touched
+/// at issue on any eligible path, and the SeqFetch mutations the
+/// checkpoint could not cheaply unwind (SNC occupancy,
+/// `pending_spills`, a victim's spill write) are deferred behind
+/// [`SeqInstall`] until the confirm.
 #[derive(Debug, Clone, Copy)]
 struct SpecCheckpoint {
     line_addr: u64,
@@ -338,10 +340,10 @@ impl SecureBackend {
             _ => None,
         };
         Self {
+            written: LineSet::new(config.line_bytes),
             config,
             channels,
             snc,
-            written: BTreeSet::new(),
             pending_spills: 0,
             queue: VecDeque::new(),
             stats: ControllerStats::default(),
@@ -414,57 +416,58 @@ impl SecureBackend {
     ///
     /// Two feeds, reflecting two kinds of old state:
     ///
-    /// * `ancient` — long-dead allocations. Installed *first*: a
-    ///   no-replacement SNC ends up full of them (the paper's gcc
-    ///   observation that early sequence numbers hog every slot), while
-    ///   LRU will evict them as live data arrives.
+    /// * `ancient` — long-dead allocations. Installed *first* under LRU,
+    ///   which will evict them as live data arrives. Under
+    ///   no-replacement they install *last* and take whatever room the
+    ///   active feed left — the paper's gcc observation that early
+    ///   sequence numbers hog every slot.
     /// * `active` — data the program still rewrites in place (streaming
-    ///   update regions). Installed *last* so LRU retains it; under
-    ///   no-replacement it takes whatever room the ancient feed left.
+    ///   update regions). Installed *last* under LRU so it stays
+    ///   resident; under no-replacement it was written first in program
+    ///   order (it predates the churn), so it claims slots first.
+    ///
+    /// The result is exactly that of installing each line in that
+    /// order — one `install` (LRU) or `try_install` (no-replacement)
+    /// of sequence number 1 per line — then clearing the SNC and
+    /// controller statistics. Outside OTP mode this does nothing.
+    ///
+    /// Cost: one written-line bit per fed line, plus O(SNC capacity)
+    /// installs per feed whose line addresses strictly increase (see
+    /// [`SncShards::age`]). A feed that does not increase pays one
+    /// install per line from its first non-increasing line on.
     pub fn pre_age<A, B>(&mut self, ancient: A, active: B)
     where
         A: IntoIterator<Item = u64>,
         B: IntoIterator<Item = u64>,
     {
+        /// Marks each line of `feed` written and ages the SNC with it.
+        fn age<I: IntoIterator<Item = u64>>(snc: &mut SncShards, written: &mut LineSet, feed: I) {
+            snc.age(feed.into_iter().inspect(|&line| {
+                written.insert(line);
+            }));
+        }
         self.spec_abort();
-        match self.config.mode {
-            SecurityMode::Otp { snc: snc_cfg } => {
-                let snc = self.snc.as_mut().expect("OTP mode has an SNC");
-                // Under no-replacement the *active* region was written
-                // first in program order (it predates the churn), so it
-                // claims slots first; the ancient churn then fills the
-                // rest. Under LRU recency is what matters: ancient
-                // first, active last.
-                let feeds: [Box<dyn Iterator<Item = u64>>; 2] = match snc_cfg.policy {
-                    SncPolicy::NoReplacement => [
-                        Box::new(active.into_iter()),
-                        Box::new(ancient.into_iter()),
-                    ],
-                    SncPolicy::Lru => [
-                        Box::new(ancient.into_iter()),
-                        Box::new(active.into_iter()),
-                    ],
-                };
-                for feed in feeds {
-                    for line in feed {
-                        self.written.insert(line);
-                        match snc_cfg.policy {
-                            SncPolicy::NoReplacement => {
-                                snc.try_install(line, 1);
-                            }
-                            SncPolicy::Lru => {
-                                snc.install(line, 1);
-                            }
-                        }
-                    }
+        if let SecurityMode::Otp { snc: snc_cfg } = self.config.mode {
+            let snc = self.snc.as_mut().expect("OTP mode has an SNC");
+            let written = &mut self.written;
+            match snc_cfg.policy {
+                SncPolicy::NoReplacement => {
+                    age(snc, written, active);
+                    age(snc, written, ancient);
                 }
-                snc.reset_stats();
+                SncPolicy::Lru => {
+                    age(snc, written, ancient);
+                    age(snc, written, active);
+                }
             }
-            _ => {
-                // Aging only affects modes with per-line state.
-            }
+            snc.reset_stats();
         }
         self.stats = ControllerStats::default();
+    }
+
+    /// Whether `line_addr` has ever been written back (or pre-aged).
+    pub fn is_written(&self, line_addr: u64) -> bool {
+        self.written.contains(line_addr)
     }
 
     /// Buffers one evicted sequence number; every [`SPILL_BATCH`]th
@@ -650,8 +653,7 @@ impl SecureBackend {
                 // the SNC.
                 let fast = if kind == LineKind::Instruction {
                     true
-                } else if self.config.clean_lines_bypass && !self.written.contains(&txn.line_addr)
-                {
+                } else if self.config.clean_lines_bypass && !self.written.contains(txn.line_addr) {
                     self.stats.clean_bypass_reads += 1;
                     true
                 } else {
@@ -1018,7 +1020,7 @@ impl MemoryBackend for SecureBackend {
             SecurityMode::Xom => Shape::Direct,
             SecurityMode::Otp { snc: snc_cfg } => {
                 if kind == LineKind::Instruction
-                    || (self.config.clean_lines_bypass && !self.written.contains(&line_addr))
+                    || (self.config.clean_lines_bypass && !self.written.contains(line_addr))
                 {
                     Shape::FastNoProbe
                 } else {

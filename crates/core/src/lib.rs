@@ -55,6 +55,7 @@ pub mod compartment;
 mod config;
 mod controller;
 pub mod engine;
+mod line_set;
 mod machine;
 mod secure_mem;
 pub mod server;

@@ -176,12 +176,8 @@ impl SequenceNumberCache {
     pub fn has_room_for(&self, line_addr: u64) -> bool {
         match &self.storage {
             Storage::Full(c) => !c.is_full(),
-            Storage::SetAssoc(c) => {
-                // A set has room if an install would not evict. Probe by
-                // counting resident lines in the set: reconstruct via
-                // contains of... simplest: clone-free check below.
-                c.set_occupancy(line_addr) < c.config().ways()
-            }
+            // A set has room while fewer than `ways` lines are resident.
+            Storage::SetAssoc(c) => c.set_occupancy(line_addr) < c.config().ways(),
         }
     }
 
@@ -321,6 +317,55 @@ impl SequenceNumberCache {
             Storage::Full(c) => c.contains(line_addr),
             Storage::SetAssoc(c) => c.contains(line_addr),
         }
+    }
+
+    /// Number of replacement domains — groups of entries that compete
+    /// for the same victims: one when fully associative, one per set
+    /// otherwise.
+    pub(crate) fn domains(&self) -> usize {
+        match &self.storage {
+            Storage::Full(_) => 1,
+            Storage::SetAssoc(c) => c.config().num_sets(),
+        }
+    }
+
+    /// Entries per replacement domain.
+    pub(crate) fn domain_entries(&self) -> usize {
+        match &self.storage {
+            Storage::Full(c) => c.capacity(),
+            Storage::SetAssoc(c) => c.config().ways(),
+        }
+    }
+
+    /// The replacement domain `line_addr` installs into.
+    pub(crate) fn domain_of(&self, line_addr: u64) -> usize {
+        match &self.storage {
+            Storage::Full(_) => 0,
+            Storage::SetAssoc(c) => c.config().set_index(line_addr),
+        }
+    }
+
+    /// Fills an empty fully associative SNC with `lines` (distinct, at
+    /// most its capacity), least recently used first, each holding
+    /// `seq`: the state installing them in turn would leave. Returns
+    /// `false`, changing nothing, when the SNC is set-associative or
+    /// not empty.
+    pub(crate) fn fill(&mut self, lines: impl ExactSizeIterator<Item = u64>, seq: u16) -> bool {
+        match &mut self.storage {
+            Storage::Full(c) if c.is_empty() => {
+                self.stats.installs += lines.len() as u64;
+                c.fill(lines.map(|line| (line, seq)), true);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Whether entries have observable positions besides their recency:
+    /// a set-associative SNC flushes each set in way order, and a way
+    /// is claimed by whichever line evicted its previous holder.
+    pub(crate) fn has_way_positions(&self) -> bool {
+        matches!(self.storage, Storage::SetAssoc(_))
     }
 
     /// Evicts everything (context switch), returning all entries for

@@ -10,7 +10,7 @@
 //! one fully associative SNC of the same total capacity (property
 //! tested in `snc_shard_properties`).
 
-use crate::config::SncConfig;
+use crate::config::{SncConfig, SncPolicy};
 use crate::snc::{EvictedSeq, SequenceNumberCache, SncLookup, SncQueryUndo};
 use padlock_stats::CounterSet;
 
@@ -159,6 +159,185 @@ impl SncShards {
     /// all entries for encrypted spill.
     pub fn flush(&mut self) -> Vec<EvictedSeq> {
         self.shards.iter_mut().flat_map(|s| s.flush()).collect()
+    }
+
+    /// Pre-ages the SNC with `feed`: leaves every entry — residency,
+    /// recency and way position — exactly as one [`SncShards::install`]
+    /// (LRU) or [`SncShards::try_install`] (no-replacement) of sequence
+    /// number 1 per line, in feed order, would. Statistics are not
+    /// comparable; the caller resets them.
+    ///
+    /// While the feed's covered line indices strictly increase, each
+    /// replacement domain (a fully associative shard, or one set) is
+    /// sent O(its entries) installs: only the lines it could still
+    /// hold are kept (see `KeptLines`) and installed at the end, an
+    /// empty fully associative shard in one bulk fill. From the first
+    /// non-increasing line on, the kept lines are installed and every
+    /// further line is installed on its own — under no-replacement
+    /// until its domain first rejects one, since pre-aging never
+    /// evicts and the domain then stays full.
+    pub fn age(&mut self, feed: impl IntoIterator<Item = u64>) {
+        let mut kept = KeptLines::new(self);
+        for line in feed {
+            kept.push(self, line);
+        }
+        kept.install(self);
+    }
+}
+
+/// The lines of a strictly increasing pre-age feed that each
+/// replacement domain could still hold once the whole feed is
+/// installed, buffered per domain.
+///
+/// *No-replacement.* A domain keeps its first `E` lines (its entries).
+/// They are distinct, so at most the `k` entries the domain already
+/// held are among them, and the other `E - k` or more fill its `E - k`
+/// free slots: after `E` lines the domain is full and rejects every
+/// later one.
+///
+/// *LRU.* A line is dropped once `E` later lines of its domain follow
+/// it: they are distinct, so installing them evicts it — or any prior
+/// entry of the domain — whatever the domain held before. A fully
+/// associative domain therefore keeps its last `E` lines in a ring. A
+/// set additionally fixes which way each line claims, and its flush
+/// order reads the ways. Its first `E` lines install as they arrive;
+/// after them the set holds exactly those lines, and each further
+/// (distinct, missing) line claims the way of the oldest, so line `k`
+/// of the rest lands in the way line `k mod E` took. Installing the
+/// last `L ≡ k_total (mod E)` lines of the rest, `E ≤ L < 2E` (or all
+/// of a shorter rest), starts that rotation at the same way and ends
+/// on the same `E` lines.
+///
+/// A feed that stops increasing may repeat lines, which breaks these
+/// arguments: its first non-increasing line installs everything kept
+/// so far, and every later line installs on its own.
+struct KeptLines {
+    policy: SncPolicy,
+    /// Replacement domains per shard.
+    domains: usize,
+    /// Entries per domain (`E`).
+    entries: usize,
+    /// Whether way positions are observable (set-associative).
+    ways: bool,
+    /// Lines per domain installed as they arrive (an LRU set's first
+    /// `E`), ahead of the ring.
+    head: usize,
+    /// Ring slots per domain.
+    cap: usize,
+    /// `domain × cap` ring slots.
+    ring: Vec<u64>,
+    /// Feed lines routed to each domain since the last install.
+    routed: Vec<usize>,
+    /// No-replacement domains found full.
+    full: Vec<bool>,
+    /// The last covered line index, while the feed increases.
+    last: Option<u64>,
+    /// The feed stopped increasing: every line installs on its own.
+    direct: bool,
+}
+
+impl KeptLines {
+    fn new(snc: &SncShards) -> Self {
+        let shard = &snc.shards[0];
+        let (domains, entries, ways) = (
+            shard.domains(),
+            shard.domain_entries(),
+            shard.has_way_positions(),
+        );
+        let policy = shard.config().policy;
+        let (head, cap) = if ways && policy == SncPolicy::Lru {
+            (entries, 2 * entries)
+        } else {
+            (0, entries)
+        };
+        let total = snc.shards.len() * domains;
+        Self {
+            policy,
+            domains,
+            entries,
+            ways,
+            head,
+            cap,
+            ring: vec![0; total * cap],
+            routed: vec![0; total],
+            full: vec![false; total],
+            last: None,
+            direct: false,
+        }
+    }
+
+    fn push(&mut self, snc: &mut SncShards, line: u64) {
+        let index = line / snc.covered_line_bytes;
+        if !self.direct && self.last.is_some_and(|last| index <= last) {
+            self.install(snc);
+            self.direct = true;
+        }
+        let shard = snc.shard_of(line);
+        let d = shard * self.domains + snc.shards[shard].domain_of(line);
+        if self.direct {
+            self.install_one(snc, d, line);
+            return;
+        }
+        self.last = Some(index);
+        let n = self.routed[d];
+        self.routed[d] += 1;
+        match self.policy {
+            SncPolicy::NoReplacement => {
+                if n < self.entries {
+                    self.ring[d * self.cap + n] = line;
+                }
+            }
+            SncPolicy::Lru => match n.checked_sub(self.head) {
+                Some(k) => self.ring[d * self.cap + k % self.cap] = line,
+                None => self.install_one(snc, d, line),
+            },
+        }
+    }
+
+    /// The per-line reference step: one install (LRU) or
+    /// `try_install` (no-replacement) into domain `d`.
+    fn install_one(&mut self, snc: &mut SncShards, d: usize, line: u64) {
+        let shard = &mut snc.shards[d / self.domains];
+        match self.policy {
+            SncPolicy::Lru => {
+                shard.install(line, 1);
+            }
+            SncPolicy::NoReplacement => {
+                if !self.full[d] && !shard.try_install(line, 1) {
+                    self.full[d] = true;
+                }
+            }
+        }
+    }
+
+    /// Installs every domain's kept lines in feed order — filling an
+    /// empty fully associative shard in one pass — and empties the
+    /// rings.
+    fn install(&mut self, snc: &mut SncShards) {
+        for d in 0..self.routed.len() {
+            let routed = std::mem::take(&mut self.routed[d]);
+            let (first, end) = match self.policy {
+                SncPolicy::NoReplacement => (0, routed.min(self.entries)),
+                SncPolicy::Lru => {
+                    let rest = routed.saturating_sub(self.head);
+                    let keep = if !self.ways {
+                        rest.min(self.entries)
+                    } else if rest < self.entries {
+                        rest
+                    } else {
+                        self.entries + rest % self.entries
+                    };
+                    (rest - keep, rest)
+                }
+            };
+            let (ring, cap) = (&self.ring, self.cap);
+            let lines = (first..end).map(|k| ring[d * cap + k % cap]);
+            if !snc.shards[d / self.domains].fill(lines, 1) {
+                for k in first..end {
+                    self.install_one(snc, d, self.ring[d * cap + k % cap]);
+                }
+            }
+        }
     }
 }
 
