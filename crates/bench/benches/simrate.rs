@@ -26,12 +26,19 @@
 //!
 //! `setup/pre_age/*` time the machine set-up layer on its own: one
 //! `pre_age` of a freshly built machine (see [`setup`]).
+//!
+//! `pipeline/ideal/*` time the pipeline layer on its own: the paper's
+//! 4-wide core over a fixed-latency insecure backend, replaying a
+//! recorded SPEC trace so neither the workload generator nor the
+//! secure memory controller runs in the timed region (see
+//! [`pipeline`]).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use padlock_bench::seed_core::SeedMachine;
 use padlock_bench::{e2e_machine_config, E2eParams, E2eTrace, MachineKind};
 use padlock_core::{Machine, MachineConfig};
-use padlock_workloads::{benchmark_profile, SpecWorkload};
+use padlock_cpu::{Core, InsecureBackend, PipelineConfig, Workload};
+use padlock_workloads::{benchmark_profile, SpecWorkload, TracePlayer, TraceRecorder};
 
 /// Warm-up ops per simulated point.
 const WARMUP: u64 = 20_000;
@@ -174,5 +181,40 @@ fn setup(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, simrate, setup);
+/// Pipeline layer cost: a warm-up and a measured window of the paper's
+/// core over a 100-cycle insecure memory, on a recorded `gzip`
+/// (cache-friendly) and `mcf` (miss-heavy) trace. The core is built
+/// and the trace cloned outside the timed region.
+fn pipeline(c: &mut Criterion) {
+    let mut g = c.benchmark_group("pipeline");
+    g.sample_size(10);
+    for name in ["gzip", "mcf"] {
+        let mut recorder = TraceRecorder::new(SpecWorkload::new(benchmark_profile(name)));
+        // The core fetches up to a ROB's worth past each window's
+        // commit target; the player wraps round if it runs past this.
+        for _ in 0..WARMUP + MEASURE + 4096 {
+            recorder.next_op();
+        }
+        let trace = TracePlayer::new(name, recorder.into_trace());
+        g.bench_with_input(BenchmarkId::new("ideal", name), &trace, |b, t| {
+            b.iter_batched(
+                || {
+                    let core = Core::new(
+                        PipelineConfig::paper_default(),
+                        InsecureBackend::new(100, 8),
+                    );
+                    (core, t.clone())
+                },
+                |(mut core, mut player)| {
+                    core.run(&mut player, WARMUP);
+                    core.run(&mut player, MEASURE).cycles
+                },
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, simrate, setup, pipeline);
 criterion_main!(benches);

@@ -396,7 +396,7 @@ impl SeedMachine {
             l2: h.l2_stats().clone(),
             traffic: h.backend().traffic(),
             controller: h.backend().controller_stats().clone(),
-            mshr: h.mshr_stats().clone(),
+            mshr: h.mshr_stats(),
             snc: h
                 .backend()
                 .snc()

@@ -10,8 +10,12 @@
 //! different cycle. CI runs this on every push.
 
 use padlock_bench::mlp::{e2e_machine_config, inflight_for, E2eParams, E2eTrace};
-use padlock_bench::seed_core::SeedMachine;
+use padlock_bench::seed_core::{SeedCore, SeedMachine};
 use padlock_core::{Machine, MachineConfig, Measurement, SecurityMode, SncConfig};
+use padlock_cpu::{
+    Core, Hierarchy, HierarchyConfig, InsecureBackend, MemoryBackend, PipelineConfig,
+    StrideWorkload, Workload,
+};
 use padlock_mem::{DrainOrder, PagePolicy};
 use padlock_workloads::{benchmark_profile, SpecWorkload};
 
@@ -138,6 +142,109 @@ fn figure_workloads_match_across_security_modes() {
             let ff_m = ff.run(&mut ff_workload, WARMUP, MEASURE);
 
             assert_bit_exact(&format!("{bench}/{name}"), &seed_m, &ff_m);
+        }
+    }
+}
+
+#[test]
+fn rob_sizes_off_the_ring_capacity_match() {
+    // The fast-forward ROB and ready rings are power-of-two rings of at
+    // least 64 positions indexed by `seq & mask`. ROB sizes that are
+    // not powers of two, or far below the ring, wrap the live window
+    // round the ring at every offset; a size of 1 serialises
+    // everything through a single slot.
+    let trace = E2eTrace::record("bfs", WARMUP, MEASURE);
+    for rob_size in [1usize, 3, 48, 100] {
+        let mut config = e2e_machine_config(E2eParams::new(4, 2, 2, inflight_for(4)));
+        config.pipeline.rob_size = rob_size;
+        let (seed, ff) = run_both(&trace, config);
+        assert_bit_exact(&format!("bfs rob={rob_size}"), &seed, &ff);
+
+        let mut config = MachineConfig::paper(SecurityMode::Xom);
+        config.pipeline.rob_size = rob_size;
+        let profile = benchmark_profile("gzip");
+        let mut seed = SeedMachine::new(config.clone());
+        let seed_m = seed.run(&mut SpecWorkload::new(profile.clone()), WARMUP, MEASURE);
+        let mut ff = Machine::new(config);
+        let ff_m = ff.run(&mut SpecWorkload::new(profile), WARMUP, MEASURE);
+        assert_bit_exact(&format!("gzip/xom rob={rob_size}"), &seed_m, &ff_m);
+    }
+}
+
+/// Runs a warm-up and a measured window through the seed core and the
+/// fast-forward core over identical hierarchies, asserting equal
+/// window statistics and hierarchy counters.
+fn assert_cores_agree<B, W>(
+    ctx: &str,
+    pipeline: PipelineConfig,
+    hierarchy: impl Fn() -> Hierarchy<B>,
+    workload: impl Fn() -> W,
+) where
+    B: MemoryBackend,
+    W: Workload,
+{
+    let mut seed = SeedCore::with_hierarchy(pipeline.clone(), hierarchy());
+    let mut ff = Core::with_hierarchy(pipeline, hierarchy());
+    let (mut seed_w, mut ff_w) = (workload(), workload());
+    for (window, n) in [("warm-up", WARMUP), ("measure", MEASURE)] {
+        let seed_stats = seed.run(&mut seed_w, n);
+        let ff_stats = ff.run(&mut ff_w, n);
+        assert_eq!(seed_stats, ff_stats, "{ctx} {window}: core stats diverged");
+        assert_eq!(
+            ff_stats.forced_steps, 0,
+            "{ctx} {window}: forced a time step"
+        );
+        let (s, f) = (seed.hierarchy(), ff.hierarchy());
+        assert_eq!(
+            s.l2_stats(),
+            f.l2_stats(),
+            "{ctx} {window}: L2 counters diverged"
+        );
+        assert_eq!(
+            s.mshr_stats(),
+            f.mshr_stats(),
+            "{ctx} {window}: MSHR counters diverged"
+        );
+        assert_eq!(
+            s.backend().traffic(),
+            f.backend().traffic(),
+            "{ctx} {window}: traffic diverged"
+        );
+        seed.reset_stats();
+        ff.reset_stats();
+    }
+}
+
+#[test]
+fn completions_beyond_the_wheel_window_match() {
+    // A 5000-cycle memory is far past the fast-forward calendar's
+    // timing-wheel window, so every miss completion (and every
+    // readiness cycle it gates) waits in the overflow heap and migrates
+    // into the wheel as the clock approaches it. The deep MSHR file
+    // queues many such misses at once.
+    for mshrs in [1usize, 8] {
+        for rob_size in [16usize, 100] {
+            let pipeline = PipelineConfig {
+                rob_size,
+                ..PipelineConfig::paper_default()
+            };
+            let hierarchy = || {
+                let config = HierarchyConfig {
+                    l2_mshrs: mshrs,
+                    ..HierarchyConfig::paper_default()
+                };
+                Hierarchy::new(config, InsecureBackend::new(5000, 8))
+            };
+            let ctx = format!("slow memory mshrs={mshrs} rob={rob_size}");
+            assert_cores_agree(
+                &format!("{ctx} stride"),
+                pipeline.clone(),
+                hierarchy,
+                || StrideWorkload::new(64 << 20, 128, 0.3),
+            );
+            assert_cores_agree(&format!("{ctx} mcf"), pipeline, hierarchy, || {
+                SpecWorkload::new(benchmark_profile("mcf"))
+            });
         }
     }
 }

@@ -46,6 +46,10 @@ pub struct CacheConfig {
     line_bytes: usize,
     ways: usize,
     policy: ReplacementPolicy,
+    /// `log2(line_bytes)`: an address's line number is `addr >> line_shift`.
+    line_shift: u32,
+    /// `num_sets() - 1`: the set is the line number's low bits.
+    set_mask: u64,
 }
 
 impl CacheConfig {
@@ -77,6 +81,8 @@ impl CacheConfig {
             line_bytes,
             ways,
             policy: ReplacementPolicy::Lru,
+            line_shift: line_bytes.trailing_zeros(),
+            set_mask: sets as u64 - 1,
         }
     }
 
@@ -128,7 +134,7 @@ impl CacheConfig {
 
     /// The set index for `addr`.
     pub fn set_index(&self, addr: u64) -> usize {
-        ((addr / self.line_bytes as u64) % self.num_sets() as u64) as usize
+        ((addr >> self.line_shift) & self.set_mask) as usize
     }
 }
 
@@ -164,6 +170,25 @@ mod tests {
         assert_eq!(c.set_index(0), 0);
         assert_eq!(c.set_index(64), 1);
         assert_eq!(c.set_index(64 * 8), 0);
+    }
+
+    #[test]
+    fn set_index_matches_division_form() {
+        for (size, line, ways) in [
+            (1024, 64, 2),
+            (256 * 1024, 128, 4),
+            (32 * 1024, 32, 4),
+            (64, 64, 1),
+        ] {
+            let c = CacheConfig::new("c", size, line, ways);
+            for addr in (0..1u64 << 20)
+                .step_by(97)
+                .chain([u64::MAX, u64::MAX - 127])
+            {
+                let want = (addr / line as u64) % c.num_sets() as u64;
+                assert_eq!(c.set_index(addr) as u64, want, "addr {addr:#x}");
+            }
+        }
     }
 
     #[test]

@@ -141,7 +141,7 @@ impl Machine {
             l2: h.l2_stats().clone(),
             traffic: h.backend().traffic(),
             controller: h.backend().controller_stats().clone(),
-            mshr: h.mshr_stats().clone(),
+            mshr: h.mshr_stats(),
             snc: h
                 .backend()
                 .snc()

@@ -593,7 +593,7 @@ impl SecureServer {
             compartments.push(CompartmentReport {
                 stats,
                 l2: h.l2_stats().clone(),
-                mshr: h.mshr_stats().clone(),
+                mshr: h.mshr_stats(),
                 traffic: self.per_comp[c],
                 snc_evictions_by_others: self
                     .backend()

@@ -406,6 +406,68 @@ struct Waiter {
     floor: u64,
 }
 
+/// An MSHR-file event, naming one fixed counter slot of [`MshrStats`].
+#[derive(Debug, Clone, Copy)]
+enum MshrEvent {
+    Allocations,
+    Merges,
+    FullDrains,
+    IdleDrains,
+    EagerIssues,
+    EagerEvictions,
+    SpeculativeIssues,
+    WindowReplays,
+    ReplayPatchedCompletions,
+}
+
+/// Counter names, indexed by [`MshrEvent`].
+const MSHR_EVENT_NAMES: [&str; 9] = [
+    "allocations",
+    "merges",
+    "full_drains",
+    "idle_drains",
+    "eager_issues",
+    "eager_evictions",
+    "speculative_issues",
+    "window_replays",
+    "replay_patched_completions",
+];
+
+/// Fixed-slot MSHR-file counters: an event bumps an array slot, and
+/// [`MshrStats::to_counters`] renders the named [`CounterSet`] on
+/// demand. A slot stays `None` until its first event and a reset
+/// zeroes only the touched slots, so the rendering names exactly the
+/// counters a name-keyed set fed the same events would hold.
+#[derive(Debug, Clone, Default)]
+struct MshrStats([Option<u64>; MSHR_EVENT_NAMES.len()]);
+
+impl MshrStats {
+    fn incr(&mut self, event: MshrEvent) {
+        self.add(event, 1);
+    }
+
+    fn add(&mut self, event: MshrEvent, n: u64) {
+        let slot = &mut self.0[event as usize];
+        *slot = Some(slot.unwrap_or(0) + n);
+    }
+
+    fn reset(&mut self) {
+        for v in self.0.iter_mut().flatten() {
+            *v = 0;
+        }
+    }
+
+    fn to_counters(&self) -> CounterSet {
+        let mut set = CounterSet::new("mshr");
+        for (name, v) in MSHR_EVENT_NAMES.iter().zip(self.0) {
+            if let Some(v) = v {
+                set.add(name, v);
+            }
+        }
+        set
+    }
+}
+
 /// The on-chip cache hierarchy over a pluggable memory backend.
 ///
 /// # Examples
@@ -438,7 +500,11 @@ pub struct Hierarchy<B> {
     /// window replays as one batch; speculating into it would corrupt
     /// the replay's arrival set).
     window_coupled: bool,
-    mshr_stats: CounterSet,
+    mshr_stats: MshrStats,
+    /// Drain scratch: the un-issued entries' ids and their batch
+    /// requests, kept across drains so a drain does not allocate them.
+    drain_ids: Vec<u64>,
+    drain_reqs: Vec<(u64, u64, LineKind)>,
 }
 
 impl<B: MemoryBackend> Hierarchy<B> {
@@ -464,7 +530,9 @@ impl<B: MemoryBackend> Hierarchy<B> {
             next_token: 0,
             next_entry_id: 0,
             window_coupled: false,
-            mshr_stats: CounterSet::new("mshr"),
+            mshr_stats: MshrStats::default(),
+            drain_ids: Vec::new(),
+            drain_reqs: Vec::new(),
         }
     }
 
@@ -503,8 +571,8 @@ impl<B: MemoryBackend> Hierarchy<B> {
     /// `idle_drains`, `eager_issues`, `eager_evictions`,
     /// `speculative_issues`, `window_replays`,
     /// `replay_patched_completions`.
-    pub fn mshr_stats(&self) -> &CounterSet {
-        &self.mshr_stats
+    pub fn mshr_stats(&self) -> CounterSet {
+        self.mshr_stats.to_counters()
     }
 
     /// Resets all cache and backend statistics (after warm-up), keeping
@@ -648,8 +716,9 @@ impl<B: MemoryBackend> Hierarchy<B> {
                 .filter(|m| m.completion.is_none() && m.spec.is_some())
                 .count() as u64;
             if patched > 0 {
-                self.mshr_stats.incr("window_replays");
-                self.mshr_stats.add("replay_patched_completions", patched);
+                self.mshr_stats.incr(MshrEvent::WindowReplays);
+                self.mshr_stats
+                    .add(MshrEvent::ReplayPatchedCompletions, patched);
             }
             for m in &mut self.mshrs {
                 m.spec = None;
@@ -659,17 +728,18 @@ impl<B: MemoryBackend> Hierarchy<B> {
         // (eager) entries keep their completions and stay resident;
         // waiters find their entry by stable id, immune to any index
         // shifts from eager capacity evictions.
-        let mut ids: Vec<u64> = Vec::new();
-        let mut reqs: Vec<(u64, u64, LineKind)> = Vec::new();
+        self.drain_ids.clear();
+        self.drain_reqs.clear();
         for m in &self.mshrs {
             if m.completion.is_none() {
-                ids.push(m.id);
-                reqs.push((m.issue_at, m.line_addr, m.kind));
+                self.drain_ids.push(m.id);
+                self.drain_reqs.push((m.issue_at, m.line_addr, m.kind));
             }
         }
-        let dones = self.backend.line_read_batch_at(&reqs);
+        let dones = self.backend.line_read_batch_at(&self.drain_reqs);
         for w in self.waiters.drain(..) {
-            let pos = ids
+            let pos = self
+                .drain_ids
                 .iter()
                 .position(|&id| id == w.entry)
                 .expect("waiter's entry is un-issued and drains here");
@@ -764,7 +834,7 @@ impl<B: MemoryBackend> Hierarchy<B> {
             // wait for the fill (the line was allocated eagerly when the
             // miss was recorded).
             if let Some(m) = self.mshr_of(self.config.l2.line_addr(addr)) {
-                self.mshr_stats.incr("merges");
+                self.mshr_stats.incr(MshrEvent::Merges);
                 let token = self.wait_on(m, t);
                 return Access::Pending(token);
             }
@@ -788,7 +858,7 @@ impl<B: MemoryBackend> Hierarchy<B> {
             // allocated line, or a re-miss after it was evicted
             // mid-flight. Either way the access merges into the
             // existing MSHR instead of issuing a duplicate fill.
-            self.mshr_stats.incr("merges");
+            self.mshr_stats.incr(MshrEvent::Merges);
             let token = self.wait_on(m, t2);
             return Access::Pending(token);
         }
@@ -801,7 +871,7 @@ impl<B: MemoryBackend> Hierarchy<B> {
         // a scheduled register below. In parked and speculative modes
         // an allocation that fills the file drains it synchronously
         // below, so the file always has a free register on entry.
-        self.mshr_stats.incr("allocations");
+        self.mshr_stats.incr(MshrEvent::Allocations);
         if self.config.eager_completions && self.backend.eager_issue_safe() {
             // Scheduled completion: issue the miss now as a singleton
             // batch at its own arrival (bit-exact with batching, per
@@ -821,7 +891,7 @@ impl<B: MemoryBackend> Hierarchy<B> {
                     .min_by_key(|&(_, d)| d)
                 {
                     self.mshrs.remove(idx);
-                    self.mshr_stats.incr("eager_evictions");
+                    self.mshr_stats.incr(MshrEvent::EagerEvictions);
                 }
             }
             let done = self
@@ -839,7 +909,7 @@ impl<B: MemoryBackend> Hierarchy<B> {
                 completion: Some(done),
                 spec: None,
             });
-            self.mshr_stats.incr("eager_issues");
+            self.mshr_stats.incr(MshrEvent::EagerIssues);
             return Access::Ready(done.max(t2));
         }
         let spec = if self.spec_mode() {
@@ -868,7 +938,7 @@ impl<B: MemoryBackend> Hierarchy<B> {
         if self.mshrs.len() == self.config.l2_mshrs {
             // File full on this allocation: drain now. With one MSHR
             // this happens on every miss — the blocking seed machine.
-            self.mshr_stats.incr("full_drains");
+            self.mshr_stats.incr(MshrEvent::FullDrains);
             self.drain_pending();
             let done = self
                 .take_resolution_of(token)
@@ -879,7 +949,7 @@ impl<B: MemoryBackend> Hierarchy<B> {
             // Adaptive drain: the fabric below has nothing in flight, so
             // batching this miss with later ones buys no overlap — issue
             // the file now and return this access resolved.
-            self.mshr_stats.incr("idle_drains");
+            self.mshr_stats.incr(MshrEvent::IdleDrains);
             self.drain_pending();
             let done = self
                 .take_resolution_of(token)
@@ -919,7 +989,7 @@ impl<B: MemoryBackend> Hierarchy<B> {
         }
         let spec = self.backend.speculative_issue_at(t2, line_addr, kind);
         if spec.is_some() {
-            self.mshr_stats.incr("speculative_issues");
+            self.mshr_stats.incr(MshrEvent::SpeculativeIssues);
         }
         spec
     }
@@ -1184,6 +1254,26 @@ impl MemoryBackend for InsecureBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mshr_stats_render_like_a_name_keyed_set() {
+        // Feed the fixed slots and a name-keyed set the same events,
+        // including a zero-valued add and a reset in between: the
+        // renderings agree key for key, zero-valued names included.
+        let mut fixed = MshrStats::default();
+        let mut named = CounterSet::new("mshr");
+        assert_eq!(fixed.to_counters(), named);
+        fixed.incr(MshrEvent::Allocations);
+        named.incr("allocations");
+        fixed.add(MshrEvent::ReplayPatchedCompletions, 0);
+        named.add("replay_patched_completions", 0);
+        fixed.reset();
+        named.reset();
+        fixed.incr(MshrEvent::Merges);
+        named.incr("merges");
+        assert_eq!(fixed.to_counters(), named);
+        assert_eq!(named.len(), 3);
+    }
 
     fn hierarchy() -> Hierarchy<InsecureBackend> {
         Hierarchy::new(

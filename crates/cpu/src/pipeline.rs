@@ -3,36 +3,44 @@
 //!
 //! # Fast-forward core
 //!
-//! The run loop is event-driven rather than cycle-scanned. Two
-//! structures replace the seed core's per-cycle O(|ROB|) rescans (the
-//! seed loop is preserved verbatim in `padlock-bench`'s `seed_core`
-//! module and the `fastforward_vs_seed` differential proves the two
-//! produce bit-exact cycles and counters):
+//! The run loop is event-driven rather than cycle-scanned (the seed
+//! loop is preserved verbatim in `padlock-bench`'s `seed_core` module
+//! and the `fastforward_vs_seed` differential proves the two produce
+//! bit-exact cycles and counters). Its scheduling state is flat arrays
+//! sized when the session opens, so scheduling an op performs no tree
+//! operation and no allocation (only a load that misses the L2 touches
+//! the `pending_loads` map):
 //!
-//! * **Completion calendar** — a min-heap of future completion cycles.
-//!   Every issue and every miss resolution pushes the op's completion
-//!   cycle; when no fetch/dispatch/issue/commit can occur, `now` jumps
-//!   straight to the earliest future event (folding in the fetch gates
-//!   and [`Hierarchy::next_completion`]) instead of scanning the ROB.
-//!   Stale entries (cycles the clock has passed) are popped lazily.
+//! * **ROB ring** — slots live in a power-of-two ring indexed by
+//!   sequence number (`seq & mask`); the live window is
+//!   `base..dispatched`.
 //!
 //! * **Incremental issue readiness** — instead of re-testing every
-//!   un-issued slot's dependences each cycle, each producer slot keeps
-//!   the list of its in-ROB consumers. When a producer's completion
-//!   cycle becomes known (at issue, or when an L2 miss resolves), its
-//!   consumers' outstanding-dependence counts are decremented and each
-//!   newly unblocked consumer is filed either into the *ready sets*
-//!   (two `BTreeSet`s in program order, memory vs. non-memory ops) or
-//!   into a *ready calendar* keyed by the cycle its last producer
-//!   completes. Issue then merge-walks the two ready sets oldest-first,
+//!   un-issued slot's dependences each cycle, each producer slot heads
+//!   an intrusive list of its in-ROB consumers, threaded through the
+//!   consumers' own slots with one link per dependence port. When a
+//!   producer's completion cycle becomes known (at issue, or when an L2
+//!   miss resolves), its consumers' outstanding-dependence counts are
+//!   decremented and each newly unblocked consumer is filed either into
+//!   a *ready ring* (memory vs. non-memory ops, one bit per ROB ring
+//!   position) or into the calendar at the cycle its last producer
+//!   completes. Issue then merge-walks the two ready rings
+//!   oldest-first — ring order from `base` is program order —
 //!   reproducing the seed scan's order exactly: the overall issue-width
 //!   cap stops the walk, while the memory-port cap skips memory ops but
-//!   lets younger non-memory ops through.
+//!   lets younger non-memory ops through. Because the rings are ordered
+//!   sets, the order in which a producer notifies its consumers cannot
+//!   change what issues.
 //!
-//! Readiness cycles never need their own calendar events: a consumer's
-//! `ready_at` equals some producer's completion cycle, which is already
-//! in the completion calendar (a producer whose completion is still in
-//! the future cannot have committed).
+//! * **Timing-wheel calendar** — one bit per cycle over a
+//!   [`WHEEL_CYCLES`]-cycle window starting just past `now` marks the
+//!   future completion cycles of issued ops (and resolved misses); a
+//!   per-cycle bucket lists the slots that become ready on that cycle.
+//!   Events beyond the window wait in an overflow min-heap and migrate
+//!   into the wheel as the clock advances. When no
+//!   fetch/dispatch/issue/commit can occur, `now` jumps straight to the
+//!   earliest future event (folding in the fetch gates and
+//!   [`Hierarchy::next_completion`]) instead of scanning the ROB.
 //!
 //! Loads that miss past the L2 park with a [`PENDING`] completion until
 //! the MSHR file schedules or drains them (see
@@ -45,7 +53,7 @@ use crate::bpred::{BimodalPredictor, BranchPredictor};
 use crate::hierarchy::{Access, AccessToken, Hierarchy, MemoryBackend};
 use crate::op::{OpClass, Workload};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Pipeline widths and structure sizes.
 ///
@@ -137,11 +145,16 @@ impl RunStats {
     }
 }
 
-const NO_DEP: u64 = u64::MAX;
 const NOT_ISSUED: u64 = u64::MAX;
 /// Completion sentinel for a load waiting on an in-flight L2 miss; the
 /// real cycle arrives when the hierarchy drains its MSHR file.
 const PENDING: u64 = u64::MAX - 1;
+/// End of an intrusive list (consumer lists, calendar buckets); as a
+/// calendar entry's slot, "no slot": a bare completion event.
+const NIL: u64 = u64::MAX;
+/// Cycles covered by the calendar's timing wheel. Completions further
+/// out (deep MSHR queues, slow backends) wait in its overflow heap.
+const WHEEL_CYCLES: u64 = 1024;
 
 #[derive(Debug, Clone, Copy)]
 enum SlotKind {
@@ -152,7 +165,7 @@ enum SlotKind {
     BranchRedirect,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     kind: SlotKind,
     issued: bool,
@@ -165,56 +178,194 @@ struct Slot {
     unresolved: u8,
     /// Memory op (load/store): subject to the memory-port cap.
     is_mem: bool,
-    /// Absolute sequence numbers of in-ROB consumers to notify when
-    /// this slot's completion cycle becomes known.
-    consumers: Vec<u64>,
+    /// Head of this slot's consumer list: the link `seq << 1 | port` of
+    /// a consumer waiting on it through dependence port `port`, or
+    /// [`NIL`].
+    first_consumer: u64,
+    /// The link after this slot's own entry in its producer's consumer
+    /// list, per dependence port (`dep1 == dep2` naming one producer
+    /// threads the slot through that list twice).
+    next: [u64; 2],
+    /// The next slot in this slot's calendar bucket while it waits for
+    /// a future ready cycle.
+    cal_next: u64,
 }
 
-/// Notifies `rob[p_idx]`'s registered consumers that its completion
-/// cycle is `done`: decrements their outstanding-dependence counts and
-/// files newly unblocked slots into the ready sets (ready now) or the
-/// ready calendar (ready at a future cycle).
-#[allow(clippy::too_many_arguments)]
-fn complete_producer(
-    rob: &mut VecDeque<Slot>,
-    base: u64,
-    now: u64,
-    p_idx: usize,
-    done: u64,
-    ready_mem: &mut BTreeSet<u64>,
-    ready_alu: &mut BTreeSet<u64>,
-    ready_cal: &mut BTreeMap<u64, Vec<u64>>,
-    pool: &mut Vec<Vec<u64>>,
-) {
-    if rob[p_idx].consumers.is_empty() {
-        return;
+impl Slot {
+    /// Filler for ring positions outside the live window.
+    const VACANT: Slot = Slot {
+        kind: SlotKind::Fixed(0),
+        issued: false,
+        complete_at: NOT_ISSUED,
+        ready_at: 0,
+        unresolved: 0,
+        is_mem: false,
+        first_consumer: NIL,
+        next: [NIL; 2],
+        cal_next: NIL,
+    };
+}
+
+/// The position of sequence number `seq` in a power-of-two ROB ring.
+fn ring_index(rob: &[Slot], seq: u64) -> usize {
+    seq as usize & (rob.len() - 1)
+}
+
+/// A ring of bits with a power-of-two capacity of at least 64; callers
+/// pass positions already reduced modulo the capacity.
+#[derive(Debug)]
+struct RingBits {
+    words: Vec<u64>,
+    /// Set bits, so an empty ring answers without a scan.
+    count: u32,
+}
+
+impl RingBits {
+    fn new(capacity: u64) -> Self {
+        debug_assert!(capacity.is_power_of_two() && capacity >= 64);
+        Self {
+            words: vec![0; (capacity / 64) as usize],
+            count: 0,
+        }
     }
-    let mut consumers = std::mem::take(&mut rob[p_idx].consumers);
-    for &c in &consumers {
-        // Consumers are strictly younger than their producer and cannot
-        // commit before it, so they are still in the ROB.
-        let idx = (c - base) as usize;
-        let s = &mut rob[idx];
-        s.ready_at = s.ready_at.max(done);
-        s.unresolved -= 1;
-        if s.unresolved == 0 {
-            let (ready_at, is_mem) = (s.ready_at, s.is_mem);
-            if ready_at <= now {
-                if is_mem {
-                    ready_mem.insert(c);
-                } else {
-                    ready_alu.insert(c);
+
+    fn insert(&mut self, pos: u64) {
+        let (w, bit) = ((pos / 64) as usize, 1u64 << (pos % 64));
+        if self.words[w] & bit == 0 {
+            self.words[w] |= bit;
+            self.count += 1;
+        }
+    }
+
+    fn remove(&mut self, pos: u64) {
+        let (w, bit) = ((pos / 64) as usize, 1u64 << (pos % 64));
+        debug_assert!(self.words[w] & bit != 0, "removing an absent position");
+        self.words[w] &= !bit;
+        self.count -= 1;
+    }
+
+    /// Clears and returns the bits of word `w` selected by `mask`.
+    fn take(&mut self, w: usize, mask: u64) -> u64 {
+        let bits = self.words[w] & mask;
+        self.words[w] &= !bits;
+        self.count -= bits.count_ones();
+        bits
+    }
+
+    /// Ring distance from position `start` to the first set bit at or
+    /// after it.
+    fn first_from(&self, start: u64) -> Option<u64> {
+        if self.count == 0 {
+            return None;
+        }
+        let n = self.words.len();
+        let w0 = (start / 64) as usize;
+        let off = start % 64;
+        let head = self.words[w0] & (u64::MAX << off);
+        if head != 0 {
+            return Some(u64::from(head.trailing_zeros()) - off);
+        }
+        for i in 1..n {
+            let bits = self.words[(w0 + i) & (n - 1)];
+            if bits != 0 {
+                return Some(i as u64 * 64 + u64::from(bits.trailing_zeros()) - off);
+            }
+        }
+        // Wrapped all the way round to the start word's low bits.
+        let tail = self.words[w0] & !(u64::MAX << off);
+        (tail != 0).then(|| n as u64 * 64 + u64::from(tail.trailing_zeros()) - off)
+    }
+}
+
+/// The event calendar: a timing wheel with one bit per cycle of the
+/// window `[origin, origin + WHEEL_CYCLES)`, set when an op completes
+/// on that cycle, plus a per-cycle bucket of slots (linked through
+/// [`Slot::cal_next`]) that become ready then. Events past the window
+/// wait in `overflow`, which holds only cycles at or beyond
+/// `origin + WHEEL_CYCLES`; each in-flight slot owns at most one
+/// completion and one readiness entry, so neither structure grows past
+/// a bound fixed by the ROB size.
+#[derive(Debug)]
+struct Calendar {
+    busy: RingBits,
+    bucket: Vec<u64>,
+    origin: u64,
+    /// `(cycle, slot or NIL)` events beyond the wheel.
+    overflow: BinaryHeap<Reverse<(u64, u64)>>,
+}
+
+impl Calendar {
+    fn new(rob_capacity: usize) -> Self {
+        Self {
+            busy: RingBits::new(WHEEL_CYCLES),
+            bucket: vec![NIL; WHEEL_CYCLES as usize],
+            origin: 0,
+            overflow: BinaryHeap::with_capacity(2 * rob_capacity),
+        }
+    }
+
+    /// Records an event on cycle `t` (not before `origin`); with
+    /// `seq != NIL`, slot `seq` becomes ready on that cycle.
+    fn push(&mut self, rob: &mut [Slot], t: u64, seq: u64) {
+        debug_assert!(t >= self.origin, "calendar event in the past");
+        if t - self.origin >= WHEEL_CYCLES {
+            self.overflow.push(Reverse((t, seq)));
+            return;
+        }
+        let pos = t % WHEEL_CYCLES;
+        self.busy.insert(pos);
+        if seq != NIL {
+            rob[ring_index(rob, seq)].cal_next = self.bucket[pos as usize];
+            self.bucket[pos as usize] = seq;
+        }
+    }
+
+    /// Retires every event up to and including cycle `now`, handing
+    /// each slot that became ready to `ready`, and slides the window to
+    /// start at `now + 1`.
+    fn advance(&mut self, rob: &mut [Slot], now: u64, mut ready: impl FnMut(u64, bool)) {
+        let span = (now + 1).saturating_sub(self.origin).min(WHEEL_CYCLES);
+        let mut c = self.origin;
+        let end = self.origin + span;
+        while c < end {
+            let pos = c % WHEEL_CYCLES;
+            let off = pos % 64;
+            let take = (64 - off).min(end - c);
+            let mask = (u64::MAX >> (64 - take)) << off;
+            let mut bits = self.busy.take((pos / 64) as usize, mask);
+            while bits != 0 {
+                let b = (pos - off) as usize + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let mut seq = std::mem::replace(&mut self.bucket[b], NIL);
+                while seq != NIL {
+                    let slot = &rob[ring_index(rob, seq)];
+                    ready(seq, slot.is_mem);
+                    seq = slot.cal_next;
                 }
-            } else {
-                ready_cal
-                    .entry(ready_at)
-                    .or_insert_with(|| pool.pop().unwrap_or_default())
-                    .push(c);
+            }
+            c += take;
+        }
+        self.origin = self.origin.max(now + 1);
+        while let Some(&Reverse((t, seq))) = self.overflow.peek() {
+            if t >= self.origin + WHEEL_CYCLES {
+                break;
+            }
+            self.overflow.pop();
+            if t >= self.origin {
+                self.push(rob, t, seq);
+            } else if seq != NIL {
+                ready(seq, rob[ring_index(rob, seq)].is_mem);
             }
         }
     }
-    consumers.clear();
-    pool.push(consumers);
+
+    /// The earliest event after the last [`Calendar::advance`].
+    fn next_event(&self) -> Option<u64> {
+        match self.busy.first_from(self.origin % WHEEL_CYCLES) {
+            Some(d) => Some(self.origin + d),
+            None => self.overflow.peek().map(|&Reverse((t, _))| t),
+        }
+    }
 }
 
 /// The out-of-order core: a [`Hierarchy`] plus the execution engine.
@@ -298,28 +449,26 @@ impl<B: MemoryBackend> Core<B> {
 
     /// Opens a run session targeting `n_ops` committed ops.
     ///
-    /// The session owns all per-window execution state (ROB, ready
-    /// sets, calendars, front-end latches); the core keeps only its
-    /// persistent microarchitecture (caches, predictor, clock). Drive
-    /// it with [`Core::step_run`] and close it with
-    /// [`Core::finish_run`].
+    /// The session owns all per-window execution state (ROB ring,
+    /// ready rings, calendar, front-end latches), sized here from the
+    /// ROB size; the core keeps only its persistent microarchitecture
+    /// (caches, predictor, clock). Drive it with [`Core::step_run`] and
+    /// close it with [`Core::finish_run`].
     pub fn begin_run(&mut self, n_ops: u64) -> RunSession {
-        let rob_size = self.config.rob_size;
+        let capacity = self.config.rob_size.next_power_of_two().max(64);
         RunSession {
             stats: RunStats::default(),
             start_cycle: self.now,
             n_ops,
-            rob: VecDeque::with_capacity(rob_size),
+            rob: vec![Slot::VACANT; capacity],
             base: 0,
             dispatched: 0,
             committed: 0,
             pending_loads: BTreeMap::new(),
             resolved_buf: Vec::new(),
-            completions: BinaryHeap::with_capacity(rob_size * 2),
-            ready_mem: BTreeSet::new(),
-            ready_alu: BTreeSet::new(),
-            ready_cal: BTreeMap::new(),
-            vec_pool: Vec::new(),
+            ready_mem: RingBits::new(capacity as u64),
+            ready_alu: RingBits::new(capacity as u64),
+            calendar: Calendar::new(capacity),
             fetch_ready_at: 0,
             redirect_pending: false,
             fetch_resume_at: 0,
@@ -346,29 +495,16 @@ impl<B: MemoryBackend> Core<B> {
         // scheduled completion) resolves pending loads to their real
         // completion cycles.
         self.hierarchy.take_resolutions(&mut s.resolved_buf);
-        for (token, done) in s.resolved_buf.drain(..) {
+        for i in 0..s.resolved_buf.len() {
+            let (token, done) = s.resolved_buf[i];
             let Some(seq) = s.pending_loads.remove(&token) else {
                 continue; // fire-and-forget store fill
             };
             if seq >= s.base {
-                let idx = (seq - s.base) as usize;
-                s.rob[idx].complete_at = done;
-                if done > now {
-                    s.completions.push(Reverse(done));
-                }
-                complete_producer(
-                    &mut s.rob,
-                    s.base,
-                    now,
-                    idx,
-                    done,
-                    &mut s.ready_mem,
-                    &mut s.ready_alu,
-                    &mut s.ready_cal,
-                    &mut s.vec_pool,
-                );
+                s.complete(seq, done, now);
             }
         }
+        s.resolved_buf.clear();
 
         // ---- Stall on use ----
         // The oldest op is a load still waiting on an in-flight
@@ -376,89 +512,73 @@ impl<B: MemoryBackend> Core<B> {
         // now — issuing every accumulated miss as one batch (each
         // charged from its own arrival) — and this cycle re-runs
         // with the resolved completion cycles.
-        if self.hierarchy.pending_misses() > 0
-            && s.rob
-                .front()
-                .is_some_and(|slot| slot.issued && slot.complete_at == PENDING)
-        {
+        let head_parked = s.base < s.dispatched && {
+            let head = s.slot(s.base);
+            head.issued && head.complete_at == PENDING
+        };
+        if head_parked && self.hierarchy.pending_misses() > 0 {
             self.hierarchy.drain_pending();
             return true;
         }
 
         // ---- Commit ----
         let mut commits = 0;
-        while commits < self.config.commit_width {
-            match s.rob.front() {
-                Some(slot) if slot.issued && slot.complete_at <= now => {
-                    debug_assert!(
-                        slot.consumers.is_empty(),
-                        "committed slot with unnotified consumers"
-                    );
-                    if let Some(mut slot) = s.rob.pop_front() {
-                        slot.consumers.clear();
-                        s.vec_pool.push(slot.consumers);
-                    }
-                    s.base += 1;
-                    s.committed += 1;
-                    commits += 1;
-                    progress = true;
-                    if s.committed >= s.n_ops {
-                        break;
-                    }
-                }
-                _ => break,
+        while commits < self.config.commit_width && s.base < s.dispatched {
+            let head = s.slot(s.base);
+            if !(head.issued && head.complete_at <= now) {
+                break;
             }
-        }
-        if s.committed >= s.n_ops {
-            return false;
+            debug_assert!(
+                head.first_consumer == NIL,
+                "committed slot with unnotified consumers"
+            );
+            s.base += 1;
+            s.committed += 1;
+            commits += 1;
+            progress = true;
+            if s.committed >= s.n_ops {
+                return false;
+            }
         }
 
-        // ---- Issue (oldest first, from the ready sets) ----
+        // ---- Issue (oldest first, from the ready rings) ----
         // Promote slots whose readiness cycle has arrived.
-        while s.ready_cal.first_key_value().is_some_and(|(&t, _)| t <= now) {
-            let Some((_, seqs)) = s.ready_cal.pop_first() else {
-                break;
-            };
-            for &seq in &seqs {
-                let idx = (seq - s.base) as usize;
-                if s.rob[idx].is_mem {
-                    s.ready_mem.insert(seq);
-                } else {
-                    s.ready_alu.insert(seq);
-                }
+        let (ready_mem, ready_alu) = (&mut s.ready_mem, &mut s.ready_alu);
+        let mask = s.rob.len() as u64 - 1;
+        s.calendar.advance(&mut s.rob, now, |seq, is_mem| {
+            if is_mem {
+                ready_mem.insert(seq & mask);
+            } else {
+                ready_alu.insert(seq & mask);
             }
-            let mut seqs = seqs;
-            seqs.clear();
-            s.vec_pool.push(seqs);
-        }
-        // Merge-walk the two ready sets in program order: the
+        });
+        // Merge-walk the two ready rings in program order: the
         // issue-width cap ends the walk, the memory-port cap skips
         // memory ops while younger non-memory ops still issue —
         // exactly the seed scan's behaviour.
+        let base_pos = s.base & mask;
         let mut issues = 0;
         let mut mem_issues = 0;
         while issues < self.config.issue_width {
             let mem_head = if mem_issues < self.config.mem_ports {
-                s.ready_mem.first().copied()
+                s.ready_mem.first_from(base_pos)
             } else {
                 None
             };
-            let alu_head = s.ready_alu.first().copied();
-            let seq = match (mem_head, alu_head) {
-                (Some(m), Some(a)) => m.min(a),
-                (Some(m), None) => m,
-                (None, Some(a)) => a,
+            let alu_head = s.ready_alu.first_from(base_pos);
+            let (dist, is_mem) = match (mem_head, alu_head) {
+                (Some(m), Some(a)) => (m.min(a), m < a),
+                (Some(m), None) => (m, true),
+                (None, Some(a)) => (a, false),
                 (None, None) => break,
             };
-            let idx = (seq - s.base) as usize;
-            let kind = s.rob[idx].kind;
-            let is_mem = s.rob[idx].is_mem;
+            let seq = s.base + dist;
             if is_mem {
-                s.ready_mem.remove(&seq);
+                s.ready_mem.remove(seq & mask);
             } else {
-                s.ready_alu.remove(&seq);
+                s.ready_alu.remove(seq & mask);
             }
-            let complete_at = match kind {
+            let complete_at = match s.slot(seq).kind {
                 SlotKind::Fixed(lat) => now + lat,
                 SlotKind::Load(addr) => match self.hierarchy.data_access_nb(now, addr, false) {
                     Access::Ready(done) => done,
@@ -484,43 +604,28 @@ impl<B: MemoryBackend> Core<B> {
                     done
                 }
             };
-            {
-                let slot = &mut s.rob[idx];
-                slot.issued = true;
-                slot.complete_at = complete_at;
-            }
+            let slot = s.slot_mut(seq);
+            slot.issued = true;
+            slot.complete_at = complete_at;
             issues += 1;
             if is_mem {
                 mem_issues += 1;
             }
             if complete_at != PENDING {
-                if complete_at > now {
-                    s.completions.push(Reverse(complete_at));
-                }
-                complete_producer(
-                    &mut s.rob,
-                    s.base,
-                    now,
-                    idx,
-                    complete_at,
-                    &mut s.ready_mem,
-                    &mut s.ready_alu,
-                    &mut s.ready_cal,
-                    &mut s.vec_pool,
-                );
+                s.complete(seq, complete_at, now);
             }
             progress = true;
         }
 
         // ---- Fetch / dispatch ----
-        let rob_size = self.config.rob_size;
+        let rob_size = self.config.rob_size as u64;
         let mut fetched = 0;
         while fetched < self.config.fetch_width
-            && s.rob.len() < rob_size
+            && s.dispatched - s.base < rob_size
             && !s.redirect_pending
             && now >= s.fetch_resume_at
             && now >= s.fetch_ready_at
-            && s.dispatched < s.n_ops + rob_size as u64
+            && s.dispatched < s.n_ops + rob_size
         {
             let op = match s.pending_op.take() {
                 Some(op) => op,
@@ -540,13 +645,6 @@ impl<B: MemoryBackend> Core<B> {
             }
 
             let seq = s.dispatched;
-            let to_abs = |dist: u16| -> u64 {
-                if dist == 0 || u64::from(dist) > seq {
-                    NO_DEP
-                } else {
-                    seq - u64::from(dist)
-                }
-            };
             let kind = match op.class {
                 OpClass::Load(a) => SlotKind::Load(a),
                 OpClass::Store(a) => SlotKind::Store(a),
@@ -574,45 +672,29 @@ impl<B: MemoryBackend> Core<B> {
                 // Fetch stops after this branch until it resolves.
             }
             // Dependence registration: known-complete producers fold
-            // into ready_at; unknown ones get this slot as a
-            // consumer to notify later.
-            let is_mem = matches!(kind, SlotKind::Load(_) | SlotKind::Store(_));
-            let mut unresolved = 0u8;
-            let mut ready_at = 0u64;
-            for dep in [to_abs(op.dep1), to_abs(op.dep2)] {
-                if dep == NO_DEP || dep < s.base {
-                    continue;
+            // into ready_at; unknown ones get this slot linked into
+            // their consumer list through the dependence's port.
+            let mut slot = Slot {
+                kind,
+                is_mem: matches!(kind, SlotKind::Load(_) | SlotKind::Store(_)),
+                ..Slot::VACANT
+            };
+            for (port, dist) in [op.dep1, op.dep2].into_iter().enumerate() {
+                if dist == 0 || u64::from(dist) > seq || seq - u64::from(dist) < s.base {
+                    continue; // no producer, or it already committed
                 }
-                let p = &mut s.rob[(dep - s.base) as usize];
+                let p = s.slot_mut(seq - u64::from(dist));
                 if p.issued && p.complete_at != PENDING {
-                    ready_at = ready_at.max(p.complete_at);
+                    slot.ready_at = slot.ready_at.max(p.complete_at);
                 } else {
-                    p.consumers.push(seq);
-                    unresolved += 1;
+                    slot.next[port] = p.first_consumer;
+                    p.first_consumer = seq << 1 | port as u64;
+                    slot.unresolved += 1;
                 }
             }
-            s.rob.push_back(Slot {
-                kind,
-                issued: false,
-                complete_at: NOT_ISSUED,
-                ready_at,
-                unresolved,
-                is_mem,
-                consumers: s.vec_pool.pop().unwrap_or_default(),
-            });
-            if unresolved == 0 {
-                if ready_at <= now {
-                    if is_mem {
-                        s.ready_mem.insert(seq);
-                    } else {
-                        s.ready_alu.insert(seq);
-                    }
-                } else {
-                    s.ready_cal
-                        .entry(ready_at)
-                        .or_insert_with(|| s.vec_pool.pop().unwrap_or_default())
-                        .push(seq);
-                }
+            *s.slot_mut(seq) = slot;
+            if slot.unresolved == 0 {
+                s.file_ready(seq, slot.ready_at, slot.is_mem, now);
             }
             s.dispatched += 1;
             fetched += 1;
@@ -630,10 +712,7 @@ impl<B: MemoryBackend> Core<B> {
             // Parked loads have no completion cycle yet; they are
             // excluded here and force a drain when nothing else can
             // run.
-            while s.completions.peek().is_some_and(|&Reverse(t)| t <= now) {
-                s.completions.pop();
-            }
-            let mut next = s.completions.peek().map_or(u64::MAX, |&Reverse(t)| t);
+            let mut next = s.calendar.next_event().unwrap_or(u64::MAX);
             if s.fetch_ready_at > now {
                 next = next.min(s.fetch_ready_at);
             }
@@ -658,7 +737,9 @@ impl<B: MemoryBackend> Core<B> {
             debug_assert!(
                 next != u64::MAX,
                 "stalled with no future event: rob={:?}",
-                s.rob
+                (s.base..s.dispatched)
+                    .map(|q| *s.slot(q))
+                    .collect::<Vec<_>>()
             );
             if next == u64::MAX {
                 s.stats.forced_steps += 1;
@@ -694,8 +775,11 @@ pub struct RunSession {
     stats: RunStats,
     start_cycle: u64,
     n_ops: u64,
-    rob: VecDeque<Slot>,
-    base: u64, // sequence number of rob.front()
+    // The reorder buffer: a power-of-two ring of slots indexed by
+    // `seq & (rob.len() - 1)`, live for sequence numbers
+    // `base..dispatched`.
+    rob: Vec<Slot>,
+    base: u64, // sequence number of the oldest in-flight op
     dispatched: u64,
     committed: u64,
     // Loads waiting on in-flight L2 misses: MSHR token -> absolute
@@ -704,21 +788,17 @@ pub struct RunSession {
     // stay deterministic if it is ever iterated or debugged.
     pending_loads: BTreeMap<AccessToken, u64>,
     resolved_buf: Vec<(AccessToken, u64)>,
-    // Event calendar: future completion cycles of issued ops (and
-    // resolved misses). The min drives the no-progress time jump.
-    completions: BinaryHeap<Reverse<u64>>,
-    // Ready tracking: slots whose producers are all known-complete,
-    // split by port class, in program order (BTreeSet: padlock-lint
-    // D1, and the merge walk needs ordered iteration anyway).
-    ready_mem: BTreeSet<u64>,
-    ready_alu: BTreeSet<u64>,
-    // Slots unblocked but not ready until a future cycle.
-    ready_cal: BTreeMap<u64, Vec<u64>>,
-    // Recycled consumer/calendar vectors (keeps the hot loop off the
-    // allocator).
-    vec_pool: Vec<Vec<u64>>,
+    // Ready tracking: slots whose producers have all completed by
+    // `now`, split by port class, one bit per ROB ring position (so
+    // ring order from `base` is program order).
+    ready_mem: RingBits,
+    ready_alu: RingBits,
+    // Future completion cycles (the no-progress time jump) and future
+    // readiness cycles (slots unblocked before their last producer's
+    // result arrives).
+    calendar: Calendar,
     // Front-end state.
-    fetch_ready_at: u64, // I-miss stall
+    fetch_ready_at: u64,    // I-miss stall
     redirect_pending: bool, // mispredict: blocked until resolve
     fetch_resume_at: u64,
     pending_op: Option<crate::op::MicroOp>,
@@ -735,6 +815,56 @@ impl RunSession {
     /// The window's commit target.
     pub fn target_ops(&self) -> u64 {
         self.n_ops
+    }
+
+    fn slot(&self, seq: u64) -> &Slot {
+        &self.rob[ring_index(&self.rob, seq)]
+    }
+
+    fn slot_mut(&mut self, seq: u64) -> &mut Slot {
+        let i = ring_index(&self.rob, seq);
+        &mut self.rob[i]
+    }
+
+    /// Files the unblocked slot `seq` into its ready ring, or into the
+    /// calendar if its last producer's result arrives after `now`.
+    fn file_ready(&mut self, seq: u64, ready_at: u64, is_mem: bool, now: u64) {
+        if ready_at > now {
+            self.calendar.push(&mut self.rob, ready_at, seq);
+        } else {
+            let pos = ring_index(&self.rob, seq) as u64;
+            if is_mem {
+                self.ready_mem.insert(pos);
+            } else {
+                self.ready_alu.insert(pos);
+            }
+        }
+    }
+
+    /// Records that slot `seq` completes on cycle `done`: marks the
+    /// cycle in the calendar if it lies ahead, then walks the slot's
+    /// consumer list, decrementing each consumer's outstanding
+    /// dependences and filing the newly unblocked ones.
+    fn complete(&mut self, seq: u64, done: u64, now: u64) {
+        let slot = self.slot_mut(seq);
+        slot.complete_at = done;
+        let mut link = std::mem::replace(&mut slot.first_consumer, NIL);
+        if done > now {
+            self.calendar.push(&mut self.rob, done, NIL);
+        }
+        while link != NIL {
+            // Consumers are strictly younger than their producer and
+            // cannot commit before it, so they are still in the ROB.
+            let consumer = link >> 1;
+            let c = self.slot_mut(consumer);
+            link = c.next[(link & 1) as usize];
+            c.ready_at = c.ready_at.max(done);
+            c.unresolved -= 1;
+            if c.unresolved == 0 {
+                let (ready_at, is_mem) = (c.ready_at, c.is_mem);
+                self.file_ready(consumer, ready_at, is_mem, now);
+            }
+        }
     }
 }
 
@@ -932,6 +1062,51 @@ mod tests {
         let cpi = stats.cpi();
         assert!((0.95..1.15).contains(&cpi), "cpi {cpi}");
         assert_eq!(stats.forced_steps, 0);
+    }
+
+    #[test]
+    fn both_ports_naming_one_producer_count_as_one_dependence() {
+        // `dep1 == dep2` links the consumer into its producer's list
+        // twice, once per port. It must become ready exactly when the
+        // producer completes — neither early (after the first link)
+        // nor never (a link lost) — so its timing equals a single
+        // dependence. Producers are fixed-latency ops and loads that
+        // miss to memory, whose completion arrives at an MSHR drain.
+        struct Missing {
+            i: u64,
+            d: u16,
+        }
+        impl Workload for Missing {
+            fn next_op(&mut self) -> MicroOp {
+                self.i += 1;
+                match self.i % 3 {
+                    0 => MicroOp::new(0x1000, OpClass::Load(self.i * 4096 % (64 << 20)))
+                        .with_deps(1, 0),
+                    1 => MicroOp::new(0x1004, OpClass::IntMul).with_deps(1, self.d),
+                    _ => MicroOp::new(0x1008, OpClass::IntAlu).with_deps(1, self.d),
+                }
+            }
+            fn name(&self) -> &str {
+                "missing"
+            }
+        }
+        for class in [OpClass::IntAlu, OpClass::IntMul] {
+            let single = core().run(
+                &mut Script::repeat(MicroOp::new(0x1000, class).with_deps(1, 0)),
+                9_000,
+            );
+            let double = core().run(
+                &mut Script::repeat(MicroOp::new(0x1000, class).with_deps(1, 1)),
+                9_000,
+            );
+            assert_eq!(single, double, "{class:?} chain");
+        }
+        let single = core().run(&mut Missing { i: 0, d: 0 }, 6_000);
+        let double = core().run(&mut Missing { i: 0, d: 1 }, 6_000);
+        assert_eq!(single, double, "load-fed chain");
+        // One serial miss per three ops.
+        assert!(single.cpi() > 20.0, "cpi {}: loads must miss", single.cpi());
+        assert_eq!(double.forced_steps, 0);
     }
 
     #[test]
